@@ -538,77 +538,88 @@ impl Database {
         self.check_writable()?;
         let mut tables = self.tables.write();
         let table = tables
-            .get(name)
+            .get_mut(name)
             .ok_or_else(|| PipError::NotFound(format!("table '{name}'")))?;
-        // Validate fully (arity checks in push) before the WAL append —
-        // a logged record must never fail to apply. (At durability OFF
-        // the record is built but only validated, never written; for a
-        // memory-only catalog rows move straight into the table — the
-        // pre-durability in-memory work exactly.)
-        let old_len = table.len();
-        let mut new = (**table).clone();
-        let log_rows = if self.durable() {
-            for r in &rows {
-                new.push(r.clone())?;
+        // At durability OFF the record is built but only validated, never
+        // written; a memory-only catalog skips it and moves the rows
+        // straight into the table.
+        let record_rows = self.durable().then(|| rows.clone());
+        let (old_len, post_insert) = self.append_in_place(name, table, rows, || {
+            let post_insert = self.bump_version();
+            if let Some(rows) = record_rows {
+                self.log(
+                    post_insert,
+                    CatalogRecord::Insert {
+                        name: name.to_string(),
+                        rows,
+                    },
+                )?;
             }
-            Some(rows)
-        } else {
-            for r in rows {
-                new.push(r)?;
-            }
-            None
-        };
-        // Dependent indexes extend incrementally over the appended
-        // suffix — staged before the WAL append, alongside the arity
-        // checks above, so a logged record can never leave an index
-        // unbuildable.
-        let staged_indexes: Vec<(String, Arc<OrderedIndex>)> = self
-            .indexes
-            .read()
-            .iter()
-            .filter(|(_, e)| e.table == name)
-            .map(|(iname, e)| {
-                Ok((
-                    iname.clone(),
-                    Arc::new(e.index.with_appended(&new, old_len)?),
-                ))
-            })
-            .collect::<Result<_>>()?;
-        let post_insert = self.bump_version();
-        if let Some(rows) = log_rows {
-            self.log(
-                post_insert,
-                CatalogRecord::Insert {
-                    name: name.to_string(),
-                    rows,
-                },
-            )?;
-        }
-        let new = Arc::new(new);
-        tables.insert(name.to_string(), Arc::clone(&new));
-        if !staged_indexes.is_empty() {
-            let mut indexes = self.indexes.write();
-            for (iname, idx) in staged_indexes {
-                if let Some(e) = indexes.get_mut(&iname) {
-                    e.index = idx;
-                }
-            }
-        }
-        drop(tables);
+            Ok(post_insert)
+        })?;
         // The bump's fetch_add pins this insert's exact (pre, post)
         // version pair — no separate load can interleave with another
         // mutation. The delta only applies when the cached entry was
         // fresh at exactly `pre`; any concurrent mutation breaks that
         // equality (either here or for the other inserter), and the
         // loser's entry simply goes stale and recollects on next use.
+        // (Lock order tables → stats, as in checkpoint capture.)
         let pre_insert = post_insert - 1;
         let mut stats = self.stats.write();
         if let Some(entry) = stats.get_mut(name) {
             if entry.version == pre_insert {
-                *entry = Arc::new(entry.apply_insert(&new.rows()[old_len..], post_insert));
+                *entry = Arc::new(entry.apply_insert(&table.rows()[old_len..], post_insert));
             }
         }
         Ok(())
+    }
+
+    /// Append `rows` to `table` in place — copied first only if a reader
+    /// still holds a snapshot of it — and extend its dependent indexes,
+    /// then run `commit` (the WAL append). Rows are pushed (arity-checked)
+    /// and indexes staged *before* `commit`, so a logged record can never
+    /// fail to apply; if any step fails, the table is truncated back to
+    /// its old length and the indexes are left untouched. Returns the old
+    /// length and `commit`'s value. Runs under the tables write lock.
+    fn append_in_place<T>(
+        &self,
+        name: &str,
+        table: &mut Arc<CTable>,
+        rows: impl IntoIterator<Item = CRow>,
+        commit: impl FnOnce() -> Result<T>,
+    ) -> Result<(usize, T)> {
+        let old_len = table.len();
+        let t = Arc::make_mut(table);
+        let staged = rows
+            .into_iter()
+            .try_for_each(|r| t.push(r))
+            .and_then(|()| {
+                self.indexes
+                    .read()
+                    .iter()
+                    .filter(|(_, e)| e.table == name)
+                    .map(|(iname, e)| {
+                        Ok((iname.clone(), Arc::new(e.index.with_appended(t, old_len)?)))
+                    })
+                    .collect::<Result<Vec<_>>>()
+            })
+            .and_then(|indexes| Ok((indexes, commit()?)));
+        let (indexes, committed) = match staged {
+            Ok(v) => v,
+            Err(e) => {
+                t.rows_mut().truncate(old_len);
+                return Err(e);
+            }
+        };
+        if !indexes.is_empty() {
+            let mut live = self.indexes.write();
+            for (iname, idx) in indexes {
+                if let Some(e) = live.get_mut(&iname) {
+                    e.index = idx;
+                }
+            }
+        }
+        Ok((old_len, committed))
     }
 
     /// Append deterministic tuples to a table.
@@ -718,7 +729,6 @@ impl Database {
         let mut staged_index: Option<(String, IndexEntry)> = None;
         let mut dropped_index: Option<String> = None;
         let mut retire_indexes_of: Option<String> = None;
-        let mut index_updates: Vec<(String, Arc<OrderedIndex>)> = Vec::new();
         match &entry.record {
             CatalogRecord::CreateVariable { id, .. } => {
                 VarId::reserve_through(*id);
@@ -739,26 +749,20 @@ impl Database {
                 retire_indexes_of = Some(name.clone());
             }
             CatalogRecord::Insert { name, rows } => {
-                let table = tables.get(name).ok_or_else(|| {
+                let table = tables.get_mut(name).ok_or_else(|| {
                     PipError::corrupt(format!(
                         "replication feed inserts into unknown table '{name}'"
                     ))
                 })?;
-                let old_len = table.len();
-                let mut new = (**table).clone();
-                for r in rows {
-                    for v in r.variables() {
-                        VarId::reserve_through(v.key.id.0);
-                    }
-                    new.push(r.clone())?;
+                for v in rows.iter().flat_map(|r| r.variables()) {
+                    VarId::reserve_through(v.key.id.0);
                 }
-                for (iname, e) in self.indexes.read().iter().filter(|(_, e)| &e.table == name) {
-                    index_updates.push((
-                        iname.clone(),
-                        Arc::new(e.index.with_appended(&new, old_len)?),
-                    ));
-                }
-                staged = Some((name.clone(), Arc::new(new)));
+                self.append_in_place(name, table, rows.iter().cloned(), || {
+                    self.log(entry.version, entry.record.clone())
+                })?;
+                // Adopt the primary's stamp verbatim (see below).
+                self.version.store(entry.version, Ordering::Release);
+                return Ok(());
             }
             CatalogRecord::Drop { name } => {
                 if !tables.contains_key(name) {
@@ -805,11 +809,7 @@ impl Database {
         if let Some(name) = dropped {
             tables.remove(&name);
         }
-        if staged_index.is_some()
-            || dropped_index.is_some()
-            || retire_indexes_of.is_some()
-            || !index_updates.is_empty()
-        {
+        if staged_index.is_some() || dropped_index.is_some() || retire_indexes_of.is_some() {
             let mut indexes = self.indexes.write();
             if let Some(table) = retire_indexes_of {
                 indexes.retain(|_, e| e.table != table);
@@ -819,11 +819,6 @@ impl Database {
             }
             if let Some(name) = dropped_index {
                 indexes.remove(&name);
-            }
-            for (iname, idx) in index_updates {
-                if let Some(e) = indexes.get_mut(&iname) {
-                    e.index = idx;
-                }
             }
         }
         // Adopt the primary's stamp verbatim — version-keyed caches on
@@ -1269,6 +1264,28 @@ mod tests {
             .unwrap();
         assert!(db.insert_tuples("t", &[tuple![1i64, 2i64]]).is_err());
         assert!(db.insert_tuples("zzz", &[tuple![1i64]]).is_err());
+        // A batch failing mid-way is truncated back: no prefix lands.
+        assert!(db
+            .insert_tuples("t", &[tuple![1i64], tuple![2i64], tuple![3i64, 4i64]])
+            .is_err());
+        assert_eq!(db.table("t").unwrap().len(), 0);
+    }
+
+    #[test]
+    fn inserts_append_in_place_unless_a_snapshot_is_held() {
+        let db = Database::new();
+        db.create_table("t", Schema::of(&[("a", DataType::Int)]))
+            .unwrap();
+        db.insert_tuples("t", &[tuple![1i64]]).unwrap();
+        let addr = Arc::as_ptr(&db.table("t").unwrap());
+        db.insert_tuples("t", &[tuple![2i64]]).unwrap();
+        assert_eq!(Arc::as_ptr(&db.table("t").unwrap()), addr, "no copy");
+        // A held snapshot forces one copy and never sees the new rows.
+        let snapshot = db.table("t").unwrap();
+        db.insert_tuples("t", &[tuple![3i64]]).unwrap();
+        assert_eq!(snapshot.len(), 2);
+        assert_eq!(db.table("t").unwrap().len(), 3);
+        assert_ne!(Arc::as_ptr(&db.table("t").unwrap()), addr);
     }
 
     mod durable {
@@ -1646,6 +1663,50 @@ mod tests {
             assert_eq!(*recovered.table("t").unwrap(), *primary.table("t").unwrap());
             std::fs::remove_dir_all(&primary_dir).unwrap();
             std::fs::remove_dir_all(&follower_dir).unwrap();
+        }
+
+        #[test]
+        fn wal_append_failure_leaves_rows_indexes_and_stats_unchanged() {
+            let dir = tmp_dir("append-fault");
+            {
+                let db = Database::open(&dir).unwrap();
+                db.create_table("t", Schema::of(&[("k", DataType::Int)]))
+                    .unwrap();
+                db.insert_tuples("t", &(0..5i64).map(|i| tuple![i]).collect::<Vec<_>>())
+                    .unwrap();
+                db.create_index("idx_k", "t", "k").unwrap();
+                let stats = db.table_stats("t").unwrap();
+                let rows = db.table("t").unwrap().rows().to_vec();
+                let store = Arc::clone(db.store().unwrap());
+                store.set_fault_hook(Some(Arc::new(|p| p == pip_store::FaultPoint::Append)));
+                assert!(db
+                    .insert_tuples("t", &[tuple![42i64], tuple![43i64]])
+                    .is_err());
+                store.set_fault_hook(None);
+                assert_eq!(db.table("t").unwrap().rows(), &rows[..]);
+                let idx = db.index("idx_k").unwrap().index;
+                assert_eq!(idx.covered_rows(), 5);
+                assert!(idx.equal_candidates(&pip_core::Value::Int(42)).is_empty());
+                assert!(Arc::ptr_eq(&db.stats.read()["t"], &stats));
+                // The next insert lands right after the surviving rows.
+                db.insert_tuples("t", &[tuple![42i64]]).unwrap();
+                assert_eq!(db.table("t").unwrap().len(), 6);
+                let idx = db.index("idx_k").unwrap().index;
+                assert_eq!(idx.equal_candidates(&pip_core::Value::Int(42)), vec![5]);
+            }
+            let db = Database::open(&dir).unwrap();
+            let ks: Vec<_> = db
+                .table("t")
+                .unwrap()
+                .rows()
+                .iter()
+                .map(|r| r.cells[0].clone())
+                .collect();
+            assert_eq!(
+                ks,
+                (0..5i64).chain([42]).map(Equation::val).collect::<Vec<_>>()
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
         }
 
         #[test]

@@ -707,6 +707,73 @@ mod tests {
     }
 
     #[test]
+    fn grouped_conf_is_exact_for_independent_rows_and_scheduling_free() {
+        // `SELECT g, conf() … WHERE x > c GROUP BY g` over independent
+        // Normal rows: each group's conf is 1 − Π Φ((c − μ)/σ), exactly,
+        // at any thread count, with compilation on or off, and from
+        // either executor.
+        let db = Database::new();
+        db.create_table(
+            "t",
+            Schema::of(&[("g", DataType::Str), ("x", DataType::Symbolic)]),
+        )
+        .unwrap();
+        let params = [
+            ("a", 0.0, 1.0),
+            ("a", 1.0, 2.0),
+            ("a", -0.5, 0.5),
+            ("b", 2.0, 1.0),
+            ("c", 0.25, 3.0),
+            ("c", 0.75, 1.5),
+        ];
+        for &(g, mu, sigma) in &params {
+            let v = db.create_variable("Normal", &[mu, sigma]).unwrap();
+            db.insert_rows(
+                "t",
+                vec![CRow::unconditional(vec![
+                    Equation::val(Value::str(g)),
+                    Equation::from(v),
+                ])],
+            )
+            .unwrap();
+        }
+        let c = 0.5;
+        let plan = PlanBuilder::scan("t")
+            .select(ScalarExpr::col("x").gt(ScalarExpr::lit(c)))
+            .unwrap()
+            .aggregate(vec!["g"], vec![AggFunc::Conf])
+            .build();
+        let serial = SamplerConfig::default();
+        let base = execute(&db, &plan, &serial).unwrap();
+        assert_eq!(base.len(), 3);
+        for row in base.rows() {
+            let g = row.cells[0].as_const().unwrap().clone();
+            let miss: f64 = params
+                .iter()
+                .filter(|p| Value::str(p.0) == g)
+                .map(|&(_, mu, sigma)| special::normal_cdf((c - mu) / sigma))
+                .product();
+            let p = row.cells[1].as_const().unwrap().as_f64().unwrap();
+            assert!(
+                (p - (1.0 - miss)).abs() < 1e-12,
+                "{g}: {p} vs {}",
+                1.0 - miss
+            );
+        }
+        for threads in [1usize, 2, 4] {
+            for compile in [true, false] {
+                let cfg = serial.clone().with_threads(threads).with_compile(compile);
+                assert_eq!(execute(&db, &plan, &cfg).unwrap().rows(), base.rows());
+                assert_eq!(
+                    execute_materialized(&db, &plan, &cfg).unwrap().rows(),
+                    base.rows(),
+                    "materialized executor diverged at {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn scalar_result_shape_checks() {
         let t = CTable::from_tuples(Schema::of(&[("a", DataType::Int)]), &[tuple![5i64]]).unwrap();
         assert_eq!(scalar_result(&t).unwrap(), 5.0);

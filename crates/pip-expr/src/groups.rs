@@ -29,27 +29,33 @@ impl VarGroup {
     }
 }
 
-/// Union-find over a dense index space.
-struct Dsu {
+/// Union-find over a dense index space `0..n`.
+///
+/// `find` halves paths iteratively, so deep chains cannot overflow the
+/// stack of a pool worker; a partition of `n` items with `m` unions costs
+/// near-linear time.
+pub struct UnionFind {
     parent: Vec<usize>,
 }
 
-impl Dsu {
-    fn new(n: usize) -> Self {
-        Dsu {
+impl UnionFind {
+    pub fn new(n: usize) -> Self {
+        UnionFind {
             parent: (0..n).collect(),
         }
     }
 
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
+    /// The representative of `x`'s set.
+    pub fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
         }
-        self.parent[x]
+        x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Merge the sets of `a` and `b`.
+    pub fn union(&mut self, a: usize, b: usize) {
         let (ra, rb) = (self.find(a), self.find(b));
         if ra != rb {
             self.parent[ra] = rb;
@@ -94,7 +100,7 @@ pub fn independent_groups(condition: &Conjunction, extra_vars: &[RandomVar]) -> 
     }
 
     let n = id_vars.len();
-    let mut dsu = Dsu::new(n);
+    let mut dsu = UnionFind::new(n);
     for vars in &atom_vars {
         for w in vars.windows(2) {
             dsu.union(w[0], w[1]);

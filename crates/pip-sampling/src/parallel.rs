@@ -247,7 +247,13 @@ impl ParallelSampler {
 
 impl Drop for ParallelSampler {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it under that
+        // lock before waiting, so the notify below cannot slip in between
+        // its check and its wait and leave `join` hanging.
+        {
+            let _q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_ready.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();

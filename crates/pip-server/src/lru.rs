@@ -5,6 +5,7 @@
 //! simplicity: a `HashMap` of values stamped with a logical clock, with
 //! `O(capacity)` eviction of the stalest entry on overflow.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -39,7 +40,11 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     }
 
     /// Fetch and mark as most recently used.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.clock += 1;
         let clock = self.clock;
         self.entries.get_mut(key).map(|(v, stamp)| {

@@ -236,7 +236,7 @@ fn render_row(row: &CRow) -> String {
 }
 
 /// Render a result table as the multi-line `OK ... END` block.
-fn render_table(table: &CTable, cached: bool) -> String {
+pub(crate) fn render_table(table: &CTable, cached: bool) -> String {
     let mut out = String::new();
     let freshness = if cached { "cached" } else { "fresh" };
     out.push_str(&format!("OK {} rows ({freshness})\n", table.len()));

@@ -290,6 +290,46 @@ impl Conn {
         self.shared.notify(&self);
     }
 
+    /// Answer result-cache hits at the head of an idle connection's FIFO
+    /// on the reactor itself, sparing each the round trip through a
+    /// scheduler worker. Called with `st` locked and no worker running,
+    /// so every earlier reply is already staged and order holds. Never
+    /// blocks: the session is only `try_lock`ed, and a hit is inlined
+    /// only when its reply fits the free outbound space. A miss leaves
+    /// the command queued and its key noted on the session, so the
+    /// worker does not probe the cache a second time.
+    fn serve_cached_heads(&self, st: &mut ConnState) {
+        while let Some(Pending::Cmd {
+            cmd: Command::Query(sql),
+            admitted: true,
+            admitted_at,
+        }) = st.pending.front()
+        {
+            let Ok(mut session) = self.session.try_lock() else {
+                return;
+            };
+            let key = session.query_key(sql);
+            let Some(table) = session.cached_result(&key) else {
+                session.note_probed_miss(key);
+                return;
+            };
+            let text = protocol::render_table(&table, true);
+            let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
+            if out.unsent() + text.len() > self.limits.max_outbound {
+                return;
+            }
+            self.serving.start();
+            if let Some(t) = admitted_at {
+                self.serving.admission_wait_seconds.observe_since(*t);
+                session.note_admission_wait_nanos(t.elapsed().as_nanos() as u64);
+            }
+            session.serve_cached(sql, table);
+            out.buf.extend_from_slice(text.as_bytes());
+            self.serving.finish();
+            st.pending.pop_front();
+        }
+    }
+
     /// Drop every queued command, releasing held admission slots.
     fn drop_pending(&self, st: &mut ConnState) {
         for p in st.pending.drain(..) {
@@ -973,6 +1013,9 @@ impl Reactor {
                 enqueue_line(st, conn, &line, &self.serving);
             }
             st.closing = true;
+        }
+        if !st.running && !self.broken(conn) {
+            conn.serve_cached_heads(st);
         }
         if st.pending.len() >= self.limits.max_pipeline {
             if !st.read_paused {

@@ -134,6 +134,9 @@ pub struct Session {
     /// Admission wait of the command about to run, stamped by the
     /// reactor and consumed into the next query's span.
     pending_admission_wait_nanos: u64,
+    /// A result-cache key the reactor already probed and missed for the
+    /// query about to run; [`Session::query`] skips re-probing it.
+    probed_miss: Option<String>,
 }
 
 impl Session {
@@ -242,9 +245,57 @@ impl Session {
         }
     }
 
+    /// The result-cache key of a `QUERY`/`STREAM` statement text under
+    /// the current sampling parameters and catalog version.
+    pub fn query_key(&self, sql_text: &str) -> String {
+        format!("Q:{}{}", sql_text.trim(), self.cache_suffix())
+    }
+
+    /// Probe the sample-result cache. Only `SELECT` results are ever
+    /// stored under a `Q:` key, so a hit needs no parse.
+    pub fn cached_result(&mut self, key: &str) -> Option<Arc<CTable>> {
+        self.results.get(key).map(Arc::clone)
+    }
+
+    /// Remember that the reactor probed `key` for the query about to run
+    /// and missed, so that query does not probe again.
+    pub fn note_probed_miss(&mut self, key: String) {
+        self.probed_miss = Some(key);
+    }
+
+    /// Serve one statement from the sample-result cache: the single
+    /// cache-hit path for worker-run and reactor-inlined queries alike.
+    /// Counts the statement and the hit (STATS, `result_cache_hits`) and
+    /// records a `cache_hit` span.
+    pub fn serve_cached(&mut self, sql_text: &str, table: Arc<CTable>) -> QueryReply {
+        self.stats.queries += 1;
+        self.stats.cache_hits += 1;
+        if let Some(s) = &self.serving {
+            s.result_cache_hits.inc();
+        }
+        if let Some(mut r) = self.span_recorder(sql_text) {
+            r.span.cache_hit = true;
+            r.span.rows = table.len() as u64;
+            self.observe_span(r);
+        }
+        self.pending_admission_wait_nanos = 0;
+        QueryReply {
+            table,
+            cached: true,
+        }
+    }
+
     /// Parse and run one SQL statement, consulting the sample-result
     /// cache for `SELECT`s.
     pub fn query(&mut self, sql_text: &str) -> Result<QueryReply> {
+        let key = self.query_key(sql_text);
+        // Skip the probe only if the reactor already missed on this exact
+        // key (same statement, parameters and catalog version).
+        if self.probed_miss.take().as_deref() != Some(key.as_str()) {
+            if let Some(hit) = self.cached_result(&key) {
+                return Ok(self.serve_cached(sql_text, hit));
+            }
+        }
         self.stats.queries += 1;
         let mut rec = self.span_recorder(sql_text);
         self.pending_admission_wait_nanos = 0;
@@ -254,23 +305,6 @@ impl Session {
         }
         match stmt {
             Statement::Select(_) => {
-                let key = format!("Q:{}{}", sql_text.trim(), self.cache_suffix());
-                if let Some(hit) = self.results.get(&key) {
-                    self.stats.cache_hits += 1;
-                    if let Some(s) = &self.serving {
-                        s.result_cache_hits.inc();
-                    }
-                    let table = Arc::clone(hit);
-                    if let Some(mut r) = rec.take() {
-                        r.span.cache_hit = true;
-                        r.span.rows = table.len() as u64;
-                        self.observe_span(r);
-                    }
-                    return Ok(QueryReply {
-                        table,
-                        cached: true,
-                    });
-                }
                 // The closure re-parses so it can be re-run verbatim if
                 // a dedup leader fails; parsing is noise next to the
                 // sampling it guards. The stats slot carries the
@@ -341,18 +375,14 @@ impl Session {
     /// stream's result is cached by calling [`Session::note_streamed`]
     /// after the drain.
     pub fn open_stream(&mut self, sql_text: &str) -> Result<StreamQuery> {
+        let key = self.query_key(sql_text);
+        if let Some(hit) = self.cached_result(&key) {
+            return Ok(StreamQuery::Cached(self.serve_cached(sql_text, hit).table));
+        }
         self.stats.queries += 1;
         let stmt = sql::parse(sql_text)?;
         match stmt {
             Statement::Select(plan) => {
-                let key = format!("Q:{}{}", sql_text.trim(), self.cache_suffix());
-                if let Some(hit) = self.results.get(&key) {
-                    self.stats.cache_hits += 1;
-                    if let Some(s) = &self.serving {
-                        s.result_cache_hits.inc();
-                    }
-                    return Ok(StreamQuery::Cached(Arc::clone(hit)));
-                }
                 let optimized = optimize(&self.db, plan)?;
                 Ok(StreamQuery::Live {
                     plan: Box::new(optimized),
@@ -399,7 +429,6 @@ impl Session {
 
     /// `EXEC name` — run a prepared statement through the result cache.
     pub fn exec_prepared(&mut self, name: &str) -> Result<QueryReply> {
-        self.stats.queries += 1;
         let (plan, sql, generation) = match self.prepared.get(&name.to_string()) {
             Some(p) => {
                 if let Some(s) = &self.serving {
@@ -407,27 +436,18 @@ impl Session {
                 }
                 (Arc::clone(&p.plan), p.sql.clone(), p.generation)
             }
-            None => return Err(PipError::NotFound(format!("prepared statement '{name}'"))),
+            None => {
+                self.stats.queries += 1;
+                return Err(PipError::NotFound(format!("prepared statement '{name}'")));
+            }
         };
+        let key = format!("E:{name}#{generation}{}", self.cache_suffix());
+        if let Some(hit) = self.cached_result(&key) {
+            return Ok(self.serve_cached(&sql, hit));
+        }
+        self.stats.queries += 1;
         let mut rec = self.span_recorder(&sql);
         self.pending_admission_wait_nanos = 0;
-        let key = format!("E:{name}#{generation}{}", self.cache_suffix());
-        if let Some(hit) = self.results.get(&key) {
-            self.stats.cache_hits += 1;
-            if let Some(s) = &self.serving {
-                s.result_cache_hits.inc();
-            }
-            let table = Arc::clone(hit);
-            if let Some(mut r) = rec.take() {
-                r.span.cache_hit = true;
-                r.span.rows = table.len() as u64;
-                self.observe_span(r);
-            }
-            return Ok(QueryReply {
-                table,
-                cached: true,
-            });
-        }
         // The dedup key is the statement-text key (`Q:`), not the local
         // `E:` key — prepared names and generations are session-local,
         // so only the text means the same thing across sessions. EXEC
@@ -569,6 +589,7 @@ impl SessionManager {
             clock: Arc::clone(&self.clock),
             slowlog: self.slowlog.clone(),
             pending_admission_wait_nanos: 0,
+            probed_miss: None,
         }
     }
 }
@@ -668,5 +689,57 @@ mod tests {
             scalar_result(&serial.table).unwrap(),
             scalar_result(&parallel.table).unwrap()
         );
+    }
+
+    /// A clock that advances 2 ms on every read, so every span crosses a
+    /// 1 ms slowlog threshold.
+    struct SteppingClock(AtomicU64);
+
+    impl Clock for SteppingClock {
+        fn now_nanos(&self) -> u64 {
+            self.0.fetch_add(2_000_000, Ordering::Relaxed)
+        }
+    }
+
+    #[test]
+    fn cache_hits_land_in_the_slowlog_from_either_path() {
+        let slowlog = Arc::new(SlowLog::new());
+        slowlog.set_threshold_millis(1);
+        let db = Arc::clone(manager().database());
+        let mgr = SessionManager::new(db, SamplerConfig::default()).with_obs(
+            Arc::new(SteppingClock(AtomicU64::new(0))),
+            Arc::clone(&slowlog),
+        );
+        let mut s = mgr.open();
+        let q = "SELECT expected_sum(x) FROM t";
+        assert!(!s.query(q).unwrap().cached);
+        // Worker path: `query` probes and serves the hit.
+        assert!(s.query(q).unwrap().cached);
+        // Reactor path: probe by key, stamp the admission wait, serve.
+        let key = s.query_key(q);
+        let table = s.cached_result(&key).expect("hit");
+        s.note_admission_wait_nanos(7);
+        assert!(s.serve_cached(q, table).cached);
+        let spans = slowlog.recent(3);
+        assert_eq!(spans.len(), 3);
+        assert!(spans[0].cache_hit && spans[1].cache_hit && !spans[2].cache_hit);
+        assert_eq!(spans[0].admission_wait_nanos, 7);
+        assert_eq!((spans[0].rows, spans[0].sql.as_str()), (1, q));
+        let stats = s.stats();
+        assert_eq!((stats.queries, stats.cache_hits), (3, 2));
+    }
+
+    #[test]
+    fn a_probed_miss_is_not_probed_again() {
+        let mgr = manager();
+        let mut s = mgr.open();
+        let q = "SELECT expected_sum(x) FROM t";
+        let key = s.query_key(q);
+        assert!(s.cached_result(&key).is_none());
+        s.note_probed_miss(key);
+        assert!(!s.query(q).unwrap().cached);
+        // The note is spent: the next identical query hits.
+        assert!(s.query(q).unwrap().cached);
+        assert_eq!(s.stats().cache_hits, 1);
     }
 }

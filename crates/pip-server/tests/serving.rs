@@ -132,6 +132,51 @@ fn many_requests_in_one_packet_reply_in_order() {
     }
 }
 
+/// Result-cache hits at the head of an idle connection are answered on
+/// the reactor; everything around them still replies in request order,
+/// and seed changes pipelined around a hit take effect exactly where
+/// they stand.
+#[test]
+fn cached_queries_between_seed_changes_keep_reply_order() {
+    let server = start_server(ServerOptions::default());
+    let mut c = Client::connect(server.addr());
+    setup_catalog(&mut c);
+    assert_eq!(c.send("SET SEED 77"), "OK seed=77\n");
+    let at_77 = c.send(GROUPED);
+    assert!(at_77.contains("(fresh)"), "{at_77}");
+    let cached_77 = at_77.replace("(fresh)", "(cached)");
+    assert_eq!(c.send("SET SEED 3"), "OK seed=3\n");
+    let at_3 = c.send(GROUPED);
+    assert_ne!(at_3.replace("(fresh)", ""), at_77.replace("(fresh)", ""));
+
+    // Pipelined: SET SEED → cached QUERY → SET SEED → cached QUERY.
+    let packet = format!("SET SEED 77\n{GROUPED}\nSET SEED 3\n{GROUPED}\nPING\n");
+    c.writer.write_all(packet.as_bytes()).expect("write");
+    assert_eq!(c.read_reply(), "OK seed=77\n");
+    assert_eq!(c.read_reply(), cached_77);
+    assert_eq!(c.read_reply(), "OK seed=3\n");
+    assert_eq!(c.read_reply(), at_3.replace("(fresh)", "(cached)"));
+    assert_eq!(c.read_reply(), "PONG\n");
+
+    // A cached QUERY at the head of an idle connection, with a seed
+    // change and a fresh query pipelined behind it.
+    let packet = format!("{GROUPED}\nSET SEED 77\n{GROUPED}\nSET SEED 5\nSTATS\n");
+    c.writer.write_all(packet.as_bytes()).expect("write");
+    assert_eq!(c.read_reply(), at_3.replace("(fresh)", "(cached)"));
+    assert_eq!(c.read_reply(), "OK seed=77\n");
+    assert_eq!(c.read_reply(), cached_77);
+    assert_eq!(c.read_reply(), "OK seed=5\n");
+    let stats = c.read_reply();
+    assert!(stats.contains(" seed=5 "), "{stats}");
+    assert!(stats.contains("cache_hits=4 "), "{stats}");
+    let s = server.serving();
+    assert_eq!(
+        s.admitted,
+        s.completed + s.cancelled + s.inflight + s.queued
+    );
+    assert_eq!(s.inflight + s.queued, 0);
+}
+
 #[test]
 fn pipeline_cap_applies_backpressure_without_losing_requests() {
     let server = start_server(ServerOptions {

@@ -309,6 +309,40 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_with_long_text_rows_round_trips() {
+        // ~8 MB of text rows: string decoding must stay linear in the
+        // document size, or recovery of such a snapshot stalls.
+        let dir = tmp_dir("long-text");
+        let reg = DistributionRegistry::with_builtins();
+        let mut t = CTable::empty(Schema::of(&[("id", DataType::Int), ("p", DataType::Str)]));
+        for i in 0..2000i64 {
+            let text = format!("row {i} é \"q\" ").repeat(300);
+            t.push(CRow::unconditional(vec![
+                Equation::val(Value::Int(i)),
+                Equation::val(Value::str(&text)),
+            ]))
+            .unwrap();
+        }
+        let snap = Snapshot {
+            version: 3,
+            next_var_id: 0,
+            tables: vec![SnapshotTable {
+                name: "events".into(),
+                table: Arc::new(t.clone()),
+                stats: None,
+            }],
+            indexes: Vec::new(),
+        };
+        write_snapshot(&dir, 1, &snap).unwrap();
+        let t0 = std::time::Instant::now();
+        let back = read_snapshot(&dir, 1, &reg).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(*back.tables[0].table, t);
+        assert!(took.as_secs_f64() < 10.0, "recovery read took {took:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn too_deep_snapshot_fails_loudly_instead_of_landing_unreadable() {
         let dir = tmp_dir("deep");
         let mut eq = Equation::val(Value::Float(1.0));

@@ -386,17 +386,23 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(Error::parse("unescaped control character"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is &str, so
-                    // boundaries are valid; find the char at this byte).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte in one go. Those stops are
+                    // ASCII, so they fall on char boundaries of the (UTF-8)
+                    // input and the run decodes on its own: linear overall.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::parse("non-utf8 string content"))?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(Error::parse("unescaped control character"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -493,5 +499,32 @@ mod tests {
         let text = r#"{"a":[1,2.5,"x"],"b":{"c":null,"d":true}}"#;
         let v = from_str(text).unwrap();
         assert_eq!(super::to_string(&v).unwrap(), text);
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time_and_round_trip() {
+        // ~2 MB of mixed ASCII, multi-byte chars and escapes: the old
+        // per-char decoder re-validated the rest of the document for
+        // every character, quadratic in its length.
+        let piece = "plain text é 😀 \"quoted\" back\\slash\n\t";
+        let long: String = piece.repeat(2 * 1024 * 1024 / piece.len());
+        let doc = super::to_string(&Value::Array(vec![
+            Value::String(long.clone()),
+            Value::String("tail".into()),
+        ]))
+        .unwrap();
+        let t0 = std::time::Instant::now();
+        let v = from_str(&doc).unwrap();
+        let took = t0.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "decoding took {took:?}");
+        let a = v.as_array().unwrap();
+        assert_eq!(a[0].as_str(), Some(long.as_str()));
+        assert_eq!(a[1].as_str(), Some("tail"));
+        assert_eq!(super::to_string(&v).unwrap(), doc);
+        assert!(from_str(r#""a\u0001b""#).is_ok());
+        assert!(
+            from_str("\"a\u{1}b\"").is_err(),
+            "raw control byte accepted"
+        );
     }
 }

@@ -18,9 +18,9 @@
 use proptest::prelude::*;
 
 use pip::dist::prelude::builtin;
-use pip::expr::{atoms, Assignment, Conjunction, Equation, RandomVar, SlotMap};
+use pip::expr::{atoms, Assignment, Conjunction, Dnf, Equation, RandomVar, SlotMap};
 use pip::sampling::{
-    block_cache_clear, conf, expectation, expectation_chunked, CondTape, ExpectationResult,
+    aconf, block_cache_clear, conf, expectation, expectation_chunked, CondTape, ExpectationResult,
     ParallelSampler, SamplerConfig, Tape,
 };
 
@@ -296,6 +296,31 @@ proptest! {
         let c = conf(&cond, &base.with_compile(true), site).unwrap();
         prop_assert!(a.to_bits() == b.to_bits(), "cold conf diverged: {} vs {}", a, b);
         prop_assert!(a.to_bits() == c.to_bits(), "warm conf diverged: {} vs {}", a, c);
+    }
+
+    /// `aconf` (grouped `conf()`) with the compiler on == off, bit for
+    /// bit: disjuncts over overlapping sub-pools, so a DNF splits into a
+    /// mix of single-disjunct (`conf`) and joint-sampled components.
+    #[test]
+    fn aconf_compiled_matches_interpreted(
+        structure in 0u64..u64::MAX,
+        site in 0u64..64,
+    ) {
+        let mut g = Gen(structure);
+        let pool = var_pool(&mut g, 6);
+        let k = (g.below(4) + 2) as usize;
+        let disjuncts: Vec<Conjunction> = (0..k)
+            .map(|_| {
+                let lo = g.below(5) as usize;
+                let n_atoms = (g.below(3) + 1) as usize;
+                random_cond(&mut g, &pool[lo..lo + 2], n_atoms)
+            })
+            .collect();
+        let dnf = Dnf::of(disjuncts);
+        let base = SamplerConfig::fixed_samples(300);
+        let a = aconf(&dnf, &base.clone().with_compile(false), site).unwrap();
+        let b = aconf(&dnf, &base.with_compile(true), site).unwrap();
+        prop_assert!(a.to_bits() == b.to_bits(), "aconf diverged: {} vs {}", a, b);
     }
 }
 

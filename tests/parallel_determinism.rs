@@ -133,6 +133,56 @@ fn sql_query_results_identical_at_1_2_4_8_threads() {
     }
 }
 
+/// Grouped `conf()` over groups that mix independent rows with rows
+/// sharing a variable: the exact components and the sampled one give
+/// bit-identical heads at 1/2/4 threads, compiled or interpreted.
+#[test]
+fn grouped_conf_head_identical_at_1_2_4_threads_and_compile() {
+    let db = Database::new();
+    let schema = Schema::of(&[("g", DataType::Str), ("x", DataType::Symbolic)]);
+    let mut t = CTable::empty(schema);
+    let shared = normal(0.0, 1.0);
+    let row = |g: &str, x: &RandomVar, cond: Conjunction| {
+        CRow::new(
+            vec![
+                Equation::val(pip::core::Value::str(g)),
+                Equation::from(x.clone()),
+            ],
+            cond,
+        )
+    };
+    for i in 0..6 {
+        let x = normal(i as f64 * 0.5, 1.0);
+        let cond = Conjunction::single(atoms::gt(Equation::from(x.clone()), 1.0));
+        t.push(row(if i % 2 == 0 { "indep" } else { "mixed" }, &x, cond))
+            .unwrap();
+    }
+    for (x, c) in [(normal(1.0, 2.0), 0.0), (normal(-1.0, 1.0), 0.5)] {
+        // x + shared > c: these two rows share `shared`, so they form
+        // one component that must be sampled jointly.
+        let cond = Conjunction::single(atoms::gt(
+            Equation::from(x.clone()) + Equation::from(shared.clone()),
+            c,
+        ));
+        t.push(row("mixed", &x, cond)).unwrap();
+    }
+    db.register_table("t", t).unwrap();
+    let q = "SELECT g, expected_sum(x), conf() FROM t GROUP BY g";
+    let serial = SamplerConfig::default();
+    let baseline = sql::run(&db, q, &serial).unwrap();
+    assert_eq!(baseline.len(), 2);
+    for threads in [1usize, 2, 4] {
+        for compile in [true, false] {
+            let cfg = serial.clone().with_threads(threads).with_compile(compile);
+            assert_eq!(
+                sql::run(&db, q, &cfg).unwrap().rows(),
+                baseline.rows(),
+                "grouped conf diverged at {threads} threads, compile={compile}"
+            );
+        }
+    }
+}
+
 #[test]
 fn scalar_aggregate_identical_and_sane() {
     let db = Database::new();
